@@ -75,7 +75,11 @@ fn job(i: usize, seed: u64) -> Executor<SkewedWorkload, StaticPolicy> {
         p.pressure_period_rounds = 2;
         sys.set_fault_plan(p).expect("plan set before any round");
     }
-    let tier = if i.is_multiple_of(2) { Tier::Dram } else { Tier::Pm };
+    let tier = if i.is_multiple_of(2) {
+        Tier::Dram
+    } else {
+        Tier::Pm
+    };
     Executor::new(sys, app, StaticPolicy { tier })
 }
 

@@ -87,16 +87,11 @@ fn main() {
             }
             "--jobs" => {
                 match it.next().and_then(|s| s.parse::<usize>().ok()) {
-                    Some(n) if n >= 1 => {
-                        merch_bench::par::set_sweep_jobs(n);
-                        // The page engine's sharded round phases honour the
-                        // same worker count as the sweep pool.
-                        merch_hm::set_engine_jobs(n);
-                        // And the unified scheduler itself: tenant rounds
-                        // in `serve` run concurrently at --jobs >= 2, on
-                        // the same pool the sweeps and shard phases use.
-                        merch_sched::set_pool_jobs(n);
-                    }
+                    // One knob for every parallel phase on the shared
+                    // pool: sweep cells, concurrent tenant rounds in
+                    // `serve` (at --jobs >= 2) and page-engine shard
+                    // phases.
+                    Some(n) if n >= 1 => merch_sched::set_pool_jobs(n),
                     _ => {
                         eprintln!("error: --jobs takes an integer >= 1");
                         std::process::exit(2);

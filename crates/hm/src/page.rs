@@ -30,8 +30,8 @@
 
 use std::collections::BTreeSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
+use merch_sched::TaskClass;
 use serde::{Deserialize, Serialize};
 
 use crate::config::Tier;
@@ -50,40 +50,22 @@ pub const PAGES_PER_HUGE_REGION: u64 = (2 << 20) / PAGE_SIZE;
 /// engine is exactly the serial specification.
 pub const SHARD_PAGES: u64 = 1 << 16;
 
-/// Shard spans below this stay sequential — thread spawn overhead would
+/// Shard spans below this stay sequential — pool dispatch overhead would
 /// dominate.
 const PAR_MIN_SHARDS: usize = 8;
 
-/// In auto mode (`set_engine_jobs(0)`), spans whose total run count is
-/// below this also stay sequential: spawning the worker pool costs tens
-/// of microseconds, while scanning a well-coalesced span costs tens of
+/// In auto mode (`merch_sched::set_pool_jobs(0)`), spans whose total run
+/// count is below this also stay sequential: dispatching to the pool costs
+/// microseconds, while scanning a well-coalesced span costs tens of
 /// nanoseconds per run, so parallelism only pays once the span carries
-/// real work. An explicit `set_engine_jobs(n >= 2)` bypasses the work
-/// estimate — the `--jobs`-independence tests force both paths that way,
-/// and results are identical on either path by construction.
+/// real work. An explicit job count `n >= 2` bypasses the work estimate
+/// ([`merch_sched::gated_jobs`]) — the `--jobs`-independence tests force
+/// both paths that way, and results are identical on either path by
+/// construction.
 const PAR_MIN_RUNS: usize = 16_384;
 
 /// Global page identifier.
 pub type PageId = u64;
-
-static ENGINE_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker count for parallel shard phases (0 = auto-detect).
-/// Mirrors `merch_bench::par::set_sweep_jobs`; the engine lives below that
-/// crate in the dependency graph, so it carries its own knob.
-pub fn set_engine_jobs(jobs: usize) {
-    ENGINE_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// Effective worker count for parallel shard phases.
-pub fn engine_jobs() -> usize {
-    match ENGINE_JOBS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    }
-}
 
 fn tier_idx(tier: Tier) -> usize {
     match tier {
@@ -497,106 +479,6 @@ impl Shard {
     }
 }
 
-/// Run `f` over each shard of `shards` on up to `jobs` executors, returning
-/// per-shard results in ascending shard order (index passed to `f` is the
-/// offset within `shards`). Deterministic: the work split never affects
-/// the result order.
-///
-/// Shard phases run as [`TaskClass::Shard`] tasks on the unified
-/// [`merch_sched`] pool: `jobs - 1` chunks are queued and the submitting
-/// thread runs the first chunk itself (then helps drain queued shard
-/// tasks inside the scope wait), so an explicit `jobs` means at most
-/// `jobs` concurrent chunk executors and N tenants each fanning out M
-/// shards share one pool instead of oversubscribing N*M threads.
-fn par_map_mut<T: Send>(
-    shards: &mut [Shard],
-    jobs: usize,
-    f: &(dyn Fn(usize, &mut Shard) -> T + Sync),
-) -> Vec<T> {
-    use merch_sched::{JobOutcome, TaskClass};
-    let n = shards.len();
-    let chunk = n.div_ceil(jobs.max(1)).max(1);
-    merch_sched::ensure_workers(jobs.saturating_sub(1));
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let ((), outcome) = merch_sched::try_scope(TaskClass::Shard, |scope| {
-        let mut chunks = shards
-            .chunks_mut(chunk)
-            .zip(out.chunks_mut(chunk))
-            .enumerate();
-        let first = chunks.next();
-        for (ci, (sh, slots)) in chunks {
-            scope.spawn(move || {
-                for (j, (shard, slot)) in sh.iter_mut().zip(slots.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, shard));
-                }
-            });
-        }
-        if let Some((ci, (sh, slots))) = first {
-            for (j, (shard, slot)) in sh.iter_mut().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(f(ci * chunk + j, shard));
-            }
-        }
-    });
-    if matches!(outcome, JobOutcome::Panicked { .. }) {
-        // A panicked chunk task left its untouched slots `None` and their
-        // shards unmodified, so recomputing exactly those on the caller's
-        // thread is byte-identical to a clean parallel pass (slot i
-        // depends only on shard i). A fault that strikes again here
-        // unwinds from the caller — never through the pool.
-        for (i, (shard, slot)) in shards.iter_mut().zip(out.iter_mut()).enumerate() {
-            if slot.is_none() {
-                *slot = Some(f(i, shard));
-            }
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("every shard visited"))
-        .collect()
-}
-
-/// Read-only sibling of [`par_map_mut`].
-fn par_map_ref<T: Send>(
-    shards: &[Shard],
-    jobs: usize,
-    f: &(dyn Fn(usize, &Shard) -> T + Sync),
-) -> Vec<T> {
-    use merch_sched::{JobOutcome, TaskClass};
-    let n = shards.len();
-    let chunk = n.div_ceil(jobs.max(1)).max(1);
-    merch_sched::ensure_workers(jobs.saturating_sub(1));
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let ((), outcome) = merch_sched::try_scope(TaskClass::Shard, |scope| {
-        let mut chunks = shards.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate();
-        let first = chunks.next();
-        for (ci, (sh, slots)) in chunks {
-            scope.spawn(move || {
-                for (j, (shard, slot)) in sh.iter().zip(slots.iter_mut()).enumerate() {
-                    *slot = Some(f(ci * chunk + j, shard));
-                }
-            });
-        }
-        if let Some((ci, (sh, slots))) = first {
-            for (j, (shard, slot)) in sh.iter().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(f(ci * chunk + j, shard));
-            }
-        }
-    });
-    if matches!(outcome, JobOutcome::Panicked { .. }) {
-        // Sequential fallback for the slots a dead chunk never reached
-        // (see par_map_mut) — read-only here, so trivially identical.
-        for (i, (shard, slot)) in shards.iter().zip(out.iter_mut()).enumerate() {
-            if slot.is_none() {
-                *slot = Some(f(i, shard));
-            }
-        }
-    }
-    out.into_iter()
-        .map(|o| o.expect("every shard visited"))
-        .collect()
-}
-
 /// Per-object weighted-residency aggregate: the running sums
 /// `weighted_fraction_in` needs, maintained incrementally so whole-object
 /// queries skip the run scan.
@@ -939,22 +821,14 @@ impl PageTable {
     /// Worker count a parallel phase over shards `s0..=s1` should use;
     /// `<= 1` means stay on the sequential path. Explicit job counts are
     /// honoured as set; auto mode additionally requires enough total runs
-    /// in the span ([`PAR_MIN_RUNS`]) to amortize the pool spawn.
+    /// in the span ([`PAR_MIN_RUNS`]) to amortize the pool dispatch.
     fn span_jobs(&self, s0: usize, s1: usize) -> usize {
         if s1 - s0 + 1 < PAR_MIN_SHARDS {
             return 1;
         }
-        match ENGINE_JOBS.load(Ordering::Relaxed) {
-            0 => {
-                let runs: usize = self.shards[s0..=s1].iter().map(|s| s.live as usize).sum();
-                if runs < PAR_MIN_RUNS {
-                    1
-                } else {
-                    engine_jobs()
-                }
-            }
-            n => n,
-        }
+        merch_sched::gated_jobs(PAR_MIN_RUNS, || {
+            self.shards[s0..=s1].iter().map(|s| s.live as usize).sum()
+        })
     }
 
     /// Parallel split-apply-coalesce for state-pure mutations (the new
@@ -966,13 +840,7 @@ impl PageTable {
             return;
         };
         let jobs = self.span_jobs(s0, s1);
-        if jobs <= 1 {
-            for si in s0..=s1 {
-                self.shards[si].apply(&range, &mut |p, l| f(p, l));
-            }
-            return;
-        }
-        par_map_mut(&mut self.shards[s0..=s1], jobs, &|_, sh| {
+        merch_sched::map_chunks_mut(TaskClass::Shard, &mut self.shards[s0..=s1], jobs, &|sh| {
             sh.apply(&range, &mut |p, l| f(p, l));
         });
     }
@@ -1015,23 +883,8 @@ impl PageTable {
             return;
         };
         let jobs = self.span_jobs(s0, s1);
-        let per_shard: Vec<([u64; 2], BTreeSet<u32>)> = if jobs <= 1 {
-            (s0..=s1)
-                .map(|si| {
-                    let mut from_counts = [0u64; 2];
-                    let mut objs = BTreeSet::new();
-                    self.shards[si].apply(&range, &mut |p, len| {
-                        if p.tier != to {
-                            from_counts[tier_idx(p.tier)] += len;
-                            objs.insert(p.object.0);
-                            p.tier = to;
-                        }
-                    });
-                    (from_counts, objs)
-                })
-                .collect()
-        } else {
-            par_map_mut(&mut self.shards[s0..=s1], jobs, &|_, sh| {
+        let per_shard =
+            merch_sched::map_chunks_mut(TaskClass::Shard, &mut self.shards[s0..=s1], jobs, &|sh| {
                 let mut from_counts = [0u64; 2];
                 let mut objs = BTreeSet::new();
                 sh.apply(&range, &mut |p, len| {
@@ -1042,8 +895,7 @@ impl PageTable {
                     }
                 });
                 (from_counts, objs)
-            })
-        };
+            });
         for (from_counts, objs) in per_shard {
             let moved = from_counts[0] + from_counts[1];
             self.tier_pages[0] -= from_counts[0];
@@ -1172,13 +1024,10 @@ impl PageTable {
             return (0.0, [0.0; 2]);
         };
         let jobs = self.span_jobs(s0, s1);
-        let partials: Vec<(f64, [f64; 2])> = if jobs <= 1 {
-            (s0..=s1)
-                .map(|si| self.shards[si].weight_sums(&range))
-                .collect()
-        } else {
-            par_map_ref(&self.shards[s0..=s1], jobs, &|_, sh| sh.weight_sums(&range))
-        };
+        let partials =
+            merch_sched::map_chunks(TaskClass::Shard, &self.shards[s0..=s1], jobs, &|sh| {
+                sh.weight_sums(&range)
+            });
         let mut total = 0.0;
         let mut in_ = [0.0; 2];
         for (t, i2) in partials {
@@ -1832,15 +1681,14 @@ mod tests {
         reference.extend_for_object(ObjectId(0), Tier::Pm, vec![1.0 / n as f64; n as usize]);
         reference.set_tier_range(SHARD_PAGES - 5..SHARD_PAGES + 5, Tier::Dram);
         let spec = reference.scan_weight_sums(0..n);
-        let prev = engine_jobs();
         for jobs in [1, 2, 7] {
-            set_engine_jobs(jobs);
+            merch_sched::set_pool_jobs(jobs);
             let got = pt.scan_weight_sums(0..n);
             assert_eq!(got.0.to_bits(), spec.0.to_bits(), "jobs={jobs}");
             assert_eq!(got.1[0].to_bits(), spec.1[0].to_bits(), "jobs={jobs}");
             assert_eq!(got.1[1].to_bits(), spec.1[1].to_bits(), "jobs={jobs}");
         }
-        set_engine_jobs(prev);
+        merch_sched::set_pool_jobs(0);
         reference.assert_matches(&pt);
     }
 

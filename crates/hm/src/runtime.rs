@@ -1,11 +1,12 @@
 //! The task-parallel runtime: placement policies and the round executor.
 //!
 //! The executor runs an application round by round (task instance by task
-//! instance). Within a round every task executes in parallel on real worker
-//! threads and the round ends at the synchronisation barrier — so the round
-//! time is the *slowest* task's time plus migration overhead, which is
-//! exactly the quantity the paper's load-balance argument is about ("the
-//! overall performance is hindered by the slowest task", §1).
+//! instance). Within a round every task executes in parallel in simulated
+//! time (their costs are evaluated inline on the calling thread) and the
+//! round ends at the synchronisation barrier — so the round time is the
+//! *slowest* task's time plus migration overhead, which is exactly the
+//! quantity the paper's load-balance argument is about ("the overall
+//! performance is hindered by the slowest task", §1).
 
 use serde::{Deserialize, Serialize};
 
@@ -670,7 +671,7 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
         let active = self.sys.active_config();
         let migration_ns = migration_time_ns(&active, migration_attempts);
 
-        // Execute all tasks in parallel (real threads, simulated time).
+        // Cost every task of the round (simulated time, evaluated inline).
         let mut results = execute_tasks(&self.sys, &active, &self.policy, &works, concurrency);
 
         // Record page-level accesses for the profilers.
@@ -813,9 +814,17 @@ impl<W: Workload, P: PlacementPolicy + Sync> Executor<W, P> {
     }
 }
 
-/// Evaluate all task costs in parallel on real worker threads. `config` is
-/// the round's active configuration — `sys.config` possibly degraded by an
-/// open device fault window.
+/// Evaluate every task's cost for one round, inline on the calling thread.
+/// `config` is the round's active configuration — `sys.config` possibly
+/// degraded by an open device fault window.
+///
+/// The tasks run in parallel only in simulated time. Costing one object
+/// access takes ~20 ns (a placement-fraction lookup plus the Eq. 2
+/// arithmetic), so a paper-app round (36–168 accesses) or a service tenant
+/// round (2 accesses) costs far less than a single pool dispatch — and a
+/// tenant round already runs on the `merch-sched` pool, one per core. Any
+/// page-table scan a cost needs still fans out as `Shard` work on that
+/// pool. A panicking task unwinds out of this call.
 fn execute_tasks<P: PlacementPolicy + Sync>(
     sys: &HmSystem,
     config: &HmConfig,
@@ -828,31 +837,16 @@ fn execute_tasks<P: PlacementPolicy + Sync>(
         sys,
         policy: &policy_ref,
     };
-    let mut results: Vec<Option<TaskResult>> = (0..works.len()).map(|_| None).collect();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(works.len().max(1));
-    let chunk = works.len().div_ceil(threads.max(1));
-    crossbeam::thread::scope(|s| {
-        for (w_chunk, r_chunk) in works.chunks(chunk).zip(results.chunks_mut(chunk)) {
-            let view = &view;
-            s.spawn(move |_| {
-                for (w, slot) in w_chunk.iter().zip(r_chunk.iter_mut()) {
-                    let cost = task_cost(config, w, view, concurrency);
-                    *slot = Some(TaskResult {
-                        task: w.task,
-                        time_ns: cost.time_ns,
-                        cost,
-                    });
-                }
-            });
-        }
-    })
-    .expect("task execution threads must not panic");
-    results
-        .into_iter()
-        .map(|r| r.expect("all tasks executed"))
+    works
+        .iter()
+        .map(|w| {
+            let cost = task_cost(config, w, &view, concurrency);
+            TaskResult {
+                task: w.task,
+                time_ns: cost.time_ns,
+                cost,
+            }
+        })
         .collect()
 }
 

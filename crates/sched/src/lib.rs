@@ -1,13 +1,14 @@
 //! One work-stealing executor for every parallel phase in the workspace.
 //!
-//! Before this crate, three independent pools coexisted: the sweep driver
+//! Before this crate, independent pools coexisted: the sweep driver
 //! (`merch_bench::par`) spawned scoped threads per sweep, the page engine
-//! (`merch_hm::page`) spawned scoped threads per shard phase, and the
-//! multi-tenant service ran tenant rounds on a serial loop. Nesting them
-//! oversubscribed the machine (N tenants × M shard workers) and none could
-//! donate idle cycles to another. This crate replaces all three with one
-//! process-global pool of persistent workers and *task classes* that encode
-//! nesting depth:
+//! (`merch_hm::page`) spawned scoped threads per shard phase, the round
+//! executor (`merch_hm::runtime`) spawned scoped threads per round to cost
+//! its tasks (it now costs them inline), and the multi-tenant service ran
+//! tenant rounds on a serial loop. Nesting them oversubscribed the machine
+//! (N tenants × M shard workers) and none could donate idle cycles to
+//! another. This crate replaces all of them with one process-global pool
+//! of persistent workers and *task classes* that encode nesting depth:
 //!
 //! * [`TaskClass::Sweep`] — one (app × policy × seed) sweep cell;
 //! * [`TaskClass::Tenant`] — one tenant's placement rounds inside the
@@ -110,20 +111,37 @@ pub fn payload_msg(p: &(dyn std::any::Any + Send)) -> String {
 /// 0 = auto (one worker per available core).
 static POOL_JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Override the pool's target worker count (`repro --jobs N`). `0`
-/// restores auto-detection; `1` makes pool-aware callers take their
-/// strictly sequential paths.
+/// Set the workspace's one jobs knob (`repro --jobs N`): the sweep driver,
+/// the service's tenant rounds and the page engine's shard phases all size
+/// themselves from it. `0` restores auto mode; `1` makes every pool-aware
+/// caller take its strictly sequential path; `n >= 2` is honoured as set,
+/// bypassing work gates.
 pub fn set_pool_jobs(n: usize) {
     POOL_JOBS.store(n, Ordering::SeqCst);
 }
 
-/// Effective pool job count (the knob, not the live worker count).
+/// Effective pool job count (the knob, not the live worker count): the
+/// explicit setting, or one per available core in auto mode.
 pub fn pool_jobs() -> usize {
     match POOL_JOBS.load(Ordering::SeqCst) {
         0 => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
         n => n,
+    }
+}
+
+/// Job count for a parallel region carrying `work()` units, under the one
+/// rule every gated caller shares: an explicit knob is honoured as set
+/// (that is how the `--jobs`-independence tests force parallel paths on
+/// tiny inputs), while auto mode stays sequential (`1`) until the region's
+/// work reaches `min_work`, because dispatching to the pool costs
+/// microseconds that small regions never win back. `work` is only
+/// evaluated in auto mode. Results must not depend on the returned count.
+pub fn gated_jobs(min_work: usize, work: impl FnOnce() -> usize) -> usize {
+    match POOL_JOBS.load(Ordering::SeqCst) {
+        0 if work() < min_work => 1,
+        _ => pool_jobs(),
     }
 }
 
@@ -301,7 +319,7 @@ pub fn help_until(min: TaskClass, done: &mut dyn FnMut() -> bool) {
 pub struct Scope<'s> {
     class: TaskClass,
     batch: Arc<BatchState>,
-    /// Invariant over 's (the marker mirrors `crossbeam::thread::Scope`).
+    /// Invariant over 's (the marker mirrors `std::thread::Scope`).
     _marker: std::marker::PhantomData<&'s mut &'s ()>,
 }
 
@@ -431,6 +449,107 @@ pub fn scope<'s, R>(class: TaskClass, body: impl FnOnce(&Scope<'s>) -> R) -> R {
         // — a deliberate cancellation, not a fault — so the value stands.
         (r, _) => r,
     }
+}
+
+/// Map `f` over `items` on up to `jobs` executors as `class` tasks,
+/// returning the results in input order. With `jobs <= 1` this is a plain
+/// sequential map on the calling thread. Otherwise `jobs - 1` chunks are
+/// queued and the calling thread maps the first chunk itself (then helps
+/// drain queued tasks of its class or deeper inside the scope wait), so an
+/// explicit `jobs` means at most `jobs` concurrent chunk executors, however
+/// deeply callers nest.
+///
+/// Deterministic: every result lands in its item's pre-assigned slot, so
+/// the split never affects the output. A chunk task that panics leaves its
+/// unreached slots empty; those items are mapped again on the calling
+/// thread, which is identical to a clean pass because slot `i` depends
+/// only on item `i`. A fault that strikes again there unwinds from the
+/// caller — never through the pool.
+pub fn map_chunks<T: Sync, R: Send>(
+    class: TaskClass,
+    items: &[T],
+    jobs: usize,
+    f: &(dyn Fn(&T) -> R + Sync),
+) -> Vec<R> {
+    // At most one chunk per item, so no more workers than items.
+    let jobs = jobs.min(items.len());
+    if jobs <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(jobs);
+    ensure_workers(jobs - 1);
+    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+    out.resize_with(items.len(), || None);
+    let ((), outcome) = try_scope(class, |scope| {
+        let mut chunks = items.chunks(chunk).zip(out.chunks_mut(chunk));
+        let first = chunks.next();
+        let fill = move |part: &[T], slots: &mut [Option<R>]| {
+            for (t, slot) in part.iter().zip(slots) {
+                *slot = Some(f(t));
+            }
+        };
+        for (part, slots) in chunks {
+            scope.spawn(move || fill(part, slots));
+        }
+        if let Some((part, slots)) = first {
+            fill(part, slots);
+        }
+    });
+    if matches!(outcome, JobOutcome::Panicked { .. }) {
+        for (t, slot) in items.iter().zip(out.iter_mut()) {
+            if slot.is_none() {
+                *slot = Some(f(t));
+            }
+        }
+    }
+    out.into_iter()
+        .map(|o| o.expect("every item mapped"))
+        .collect()
+}
+
+/// [`map_chunks`] over mutable items. A panicking chunk task leaves the
+/// items it never reached unmodified, so remapping exactly those on the
+/// calling thread is byte-identical to a clean parallel pass.
+pub fn map_chunks_mut<T: Send, R: Send>(
+    class: TaskClass,
+    items: &mut [T],
+    jobs: usize,
+    f: &(dyn Fn(&mut T) -> R + Sync),
+) -> Vec<R> {
+    // At most one chunk per item, so no more workers than items.
+    let jobs = jobs.min(items.len());
+    if jobs <= 1 {
+        return items.iter_mut().map(f).collect();
+    }
+    let chunk = items.len().div_ceil(jobs);
+    ensure_workers(jobs - 1);
+    let mut out: Vec<Option<R>> = Vec::with_capacity(items.len());
+    out.resize_with(items.len(), || None);
+    let ((), outcome) = try_scope(class, |scope| {
+        let mut chunks = items.chunks_mut(chunk).zip(out.chunks_mut(chunk));
+        let first = chunks.next();
+        let fill = move |part: &mut [T], slots: &mut [Option<R>]| {
+            for (t, slot) in part.iter_mut().zip(slots) {
+                *slot = Some(f(t));
+            }
+        };
+        for (part, slots) in chunks {
+            scope.spawn(move || fill(part, slots));
+        }
+        if let Some((part, slots)) = first {
+            fill(part, slots);
+        }
+    });
+    if matches!(outcome, JobOutcome::Panicked { .. }) {
+        for (t, slot) in items.iter_mut().zip(out.iter_mut()) {
+            if slot.is_none() {
+                *slot = Some(f(t));
+            }
+        }
+    }
+    out.into_iter()
+        .map(|o| o.expect("every item mapped"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -595,11 +714,68 @@ mod tests {
         assert_eq!(seen, (0..16).collect::<Vec<_>>());
     }
 
+    /// Serialises tests that mutate the process-global jobs knob.
+    static JOBS_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn jobs_knob_roundtrips() {
+        let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_pool_jobs(3);
         assert_eq!(pool_jobs(), 3);
         set_pool_jobs(0);
         assert!(pool_jobs() >= 1);
+    }
+
+    #[test]
+    fn gated_jobs_applies_the_work_gate_only_in_auto_mode() {
+        let _g = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        set_pool_jobs(0);
+        assert_eq!(gated_jobs(100, || 99), 1);
+        assert_eq!(gated_jobs(100, || 100), pool_jobs());
+        // Explicit settings bypass the gate without estimating work.
+        set_pool_jobs(2);
+        assert_eq!(
+            gated_jobs(100, || unreachable!("explicit jobs skip the estimate")),
+            2
+        );
+        set_pool_jobs(1);
+        assert_eq!(
+            gated_jobs(100, || unreachable!("explicit jobs skip the estimate")),
+            1
+        );
+        set_pool_jobs(0);
+    }
+
+    #[test]
+    fn map_chunks_keeps_input_order_at_any_job_count() {
+        ensure_workers(2);
+        let items: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * 3).collect();
+        let mut muts = items.clone();
+        for jobs in [1, 2, 5, 64] {
+            assert_eq!(map_chunks(TaskClass::Shard, &items, jobs, &|x| x * 3), want);
+            let old = map_chunks_mut(TaskClass::Shard, &mut muts, jobs, &|x| {
+                *x += 1;
+                *x - 1
+            });
+            assert_eq!(old.len(), items.len());
+        }
+        assert_eq!(muts, items.iter().map(|x| x + 4).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_chunks_panic_unwinds_from_the_caller_with_the_original_message() {
+        ensure_workers(2);
+        let items: Vec<u32> = (0..16).collect();
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            map_chunks(TaskClass::Shard, &items, 4, &|&x| {
+                assert!(x != 13, "item {x} failed");
+                x
+            })
+        }));
+        let msg = payload_msg(r.expect_err("the item panic must surface").as_ref());
+        assert!(msg.contains("item 13 failed"), "{msg}");
+        // The pool stays usable.
+        assert_eq!(map_chunks(TaskClass::Shard, &items, 4, &|&x| x), items);
     }
 }
